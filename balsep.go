@@ -16,7 +16,8 @@ import (
 // width, stepping by Approx+1 in approx mode. Each level either produces
 // a witness (its extracted elimination ordering becomes the incumbent) or
 // a completeness-flagged failure; a deadline mid-level falls back to the
-// incumbent with Exact=false.
+// incumbent. The result is Exact only when its width meets the lower
+// bound.
 func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *cover.Oracle) (Result, error) {
 	ord, _, err := heur.MinFillCtxStats(ctx, elimNew(h.PrimalGraph()),
 		rand.New(rand.NewSource(opt.Seed)), sc.engineStats())
@@ -34,18 +35,17 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 	}
 	best := Result{Width: w0, Ordering: ord, LowerBound: lb}
 	if w0 <= lb {
-		best.Exact = true
+		best.LowerBound, best.Exact = w0, true
 		return best, nil
 	}
 	approx := opt.Approx
 	if approx < 0 {
 		approx = 0
 	}
-	// proofs tracks whether every level below the next k failed completely
-	// — i.e. hw(H) > k−1 is proven, which is what lets a success at k (or
-	// the min-fill incumbent at w0) claim exactness. A capped or cancelled
-	// level forfeits the claim.
-	proofs := true
+	// A complete failure at level k proves hw(H) > k+Approx, which bounds
+	// ghw only at k = 1: hw = 1 ⇔ ghw = 1 ⇔ H is α-acyclic. Above that
+	// ghw ≤ hw leaves room for a smaller ghw, so later failures raise no
+	// bound and exactness rests on the width meeting lb alone.
 	for k := lb; k < w0; k += approx + 1 {
 		r := detk.DecomposeBalancedCtx(ctx, h, k, detk.BalancedOptions{
 			Jobs:       opt.Jobs,
@@ -59,7 +59,7 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 		})
 		if r.Err != nil {
 			// Deadline mid-level: the incumbent stands, unproven.
-			return best, nil
+			break
 		}
 		if r.Found {
 			o := order.FromDecomposition(r.Decomposition)
@@ -71,21 +71,12 @@ func balsepGHW(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *
 				best.Width = w
 				best.Ordering = o
 			}
-			// Exact iff the width matches a proof: either the global lower
-			// bound, or infeasibility of every smaller k established by the
-			// completed levels below (and no approx slack spent). A witness
-			// whose extracted ordering scores below k is kept but cannot be
-			// certified here.
-			best.Exact = best.Width == lb ||
-				(proofs && r.Complete && r.SlackUsed == 0 && best.Width == k)
-			return best, nil
+			break
 		}
-		if !r.Complete {
-			proofs = false
+		if k == 1 && r.Complete {
+			best.LowerBound = 2
 		}
 	}
-	// Every level below w0 failed: the min-fill incumbent is optimal when
-	// they all failed completely.
-	best.Exact = proofs
+	best.Exact = best.Width == best.LowerBound
 	return best, nil
 }

@@ -470,11 +470,21 @@ func ghwOne(ctx context.Context, h *Hypergraph, opt Options, sc *scope, orc *cov
 		}
 		return nil, Result{}, fmt.Errorf("htd: method %v produced no ordering", opt.Method)
 	}
-	res.Winner = opt.Method.String()
-	if res.LowerBound > 0 {
-		res.LowerBoundBy = opt.Method.String()
-	}
+	finishOne(&res, opt.Method)
 	return res.Ordering, res, nil
+}
+
+// finishOne stamps a single-worker result with its method and holds its
+// Exact claim to a proof: Exact ⇒ LowerBound == Width. A claim that breaks
+// the rule is demoted, so it can never end a portfolio race.
+func finishOne(res *Result, m Method) {
+	if res.Exact && res.LowerBound != res.Width {
+		res.Exact = false
+	}
+	res.Winner = m.String()
+	if res.LowerBound > 0 {
+		res.LowerBoundBy = m.String()
+	}
 }
 
 // Treewidth computes (bounds on) the treewidth of g.
@@ -540,10 +550,7 @@ func twOne(ctx context.Context, g *Graph, opt Options, sc *scope) (Result, error
 		}
 		return Result{}, fmt.Errorf("htd: method %v produced no ordering", opt.Method)
 	}
-	res.Winner = opt.Method.String()
-	if res.LowerBound > 0 {
-		res.LowerBoundBy = opt.Method.String()
-	}
+	finishOne(&res, opt.Method)
 	return res, nil
 }
 

@@ -70,7 +70,10 @@ func TestSingleMethodAttribution(t *testing.T) {
 // entry per slot in slot order, a LowerBoundBy method whose worker really
 // proved the reported bound, and node counts that sum up.
 func TestPortfolioAttribution(t *testing.T) {
-	h := gen.Grid2DHypergraph(4, 4)
+	// ghw 3 with a tw-ksc bound of 2: balsep cannot reach a proof, and BB
+	// and A* must branch to close the gap, so whichever worker ends the
+	// race has expanded search nodes.
+	h := gen.RandomHypergraph(12, 18, 3, 4)
 	opt := oracleOpts(MethodPortfolio, 7)
 	opt.Stats = new(Stats) // worker counter snapshots need telemetry attached
 	res, err := GHW(h, opt)
@@ -112,8 +115,8 @@ func TestPortfolioAttribution(t *testing.T) {
 				res.LowerBoundBy, res.LowerBound)
 		}
 	}
-	// On this instance BB and A* both finish exact, so search work happened
-	// and must be attributed.
+	// Only a branching search can prove this instance, so search work
+	// happened and must be attributed.
 	if nodes == 0 {
 		t.Error("no worker attributed any search nodes")
 	}

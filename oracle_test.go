@@ -23,9 +23,11 @@ import (
 )
 
 // oracleOpts returns per-method options scaled for test budgets: exact
-// searches keep a generous node cap, the GAs run tiny populations.
+// searches keep a generous node cap, the GAs run tiny populations, and the
+// fhw local search (whose round budget is MaxNodes) runs frac's default
+// 50 rounds.
 func oracleOpts(m Method, seed int64) Options {
-	return Options{
+	o := Options{
 		Method:   m,
 		Seed:     seed,
 		MaxNodes: 500000,
@@ -46,10 +48,14 @@ func oracleOpts(m Method, seed int64) Options {
 			MigrationSize:  2,
 		},
 	}
+	if m == MethodFHW {
+		o.MaxNodes = 0
+	}
+	return o
 }
 
 var oracleMethods = []Method{
-	MethodMinFill, MethodGA, MethodSAIGA, MethodBB, MethodAStar, MethodPortfolio,
+	MethodMinFill, MethodGA, MethodSAIGA, MethodBB, MethodAStar, MethodFHW, MethodBalSep, MethodPortfolio,
 }
 
 // checkGHWResult asserts the method-independent invariants of one GHW run
@@ -158,6 +164,24 @@ func TestGHWGridRegression(t *testing.T) {
 	}
 }
 
+// TestBalSepHWProofIsNotGHWProof pins an unsound exactness claim: on this
+// instance every level-2 balsep search fails completely, which proves
+// hw > 2 but says nothing about ghw, and BB proves ghw 2. Balsep's width-3
+// answer must therefore not claim Exact (the oracle then checks its bounds
+// against BB's proof).
+func TestBalSepHWProofIsNotGHWProof(t *testing.T) {
+	h := gen.RandomHypergraph(16, 16, 4, 11)
+	bs := checkGHWResult(t, h, MethodBalSep, 11)
+	if bs.Exact {
+		t.Errorf("balsep claims exact width %d with lower bound %d", bs.Width, bs.LowerBound)
+	}
+	bb := checkGHWResult(t, h, MethodBB, 11)
+	if !bb.Exact || bb.Width != 2 {
+		t.Errorf("bb: got width %d (exact=%v), want exact 2", bb.Width, bb.Exact)
+	}
+	checkCrossMethod(t, map[Method]Result{MethodBalSep: bs, MethodBB: bb})
+}
+
 func TestOracleGHWStructured(t *testing.T) {
 	runOracle(t, "chain", gen.Chain(8, 3, 1), 1)
 	runOracle(t, "grid3x3", gen.Grid2DHypergraph(3, 3), 2)
@@ -181,6 +205,9 @@ func TestOracleTreewidth(t *testing.T) {
 			g := inst.h.PrimalGraph()
 			results := make(map[Method]Result, len(oracleMethods))
 			for _, m := range oracleMethods {
+				if m == MethodFHW || m == MethodBalSep {
+					continue // GHW-only methods
+				}
 				res, err := Treewidth(g, oracleOpts(m, 11))
 				if err != nil {
 					t.Fatalf("%v: Treewidth failed: %v", m, err)

@@ -82,8 +82,11 @@ type portfolioOutcome struct {
 
 // runPortfolio races run(ctx, i, scope_i) for every method slot on its own
 // goroutine, with at most jobs running concurrently (jobs ≤ 0 means all at
-// once). The first exact answer cancels the remaining workers; everyone
-// else degrades to its best-so-far incumbent per the Ctx contracts.
+// once). The worker that proves an exact answer cancels the race itself,
+// so queued slots report context.Canceled without starting and running
+// ones degrade to their best-so-far incumbent per the Ctx contracts. Only
+// a proof may do this: the single-worker paths demote any Exact claim
+// whose LowerBound does not meet its Width.
 //
 // Winner selection is deterministic: smallest width, ties preferring an
 // Exact result, then the lower slot index. When any exact result lands its
@@ -135,6 +138,13 @@ func runPortfolio(ctx context.Context, methods []Method, jobs int, sc *scope, ru
 				start := time.Now()
 				ord, res, err := run(raceCtx, i, scopes[i])
 				outcomes[i] = portfolioOutcome{ord: ord, res: res, err: err, elapsed: time.Since(start)}
+				if err == nil && res.Exact {
+					// Optimum proven: stop the race here, before this worker
+					// reports or takes another slot. Left to the collector,
+					// the cancel waits for it to be scheduled while the
+					// CPU-bound workers start the queued slots.
+					cancel()
+				}
 				done <- i
 			}
 		}()
@@ -144,7 +154,6 @@ func runPortfolio(ctx context.Context, methods []Method, jobs int, sc *scope, ru
 	for i := range done {
 		out := &outcomes[i]
 		if out.err == nil && out.res.Exact {
-			cancel() // optimum proven — stop the stragglers
 			sc.traceRef().Instant(0, "portfolio.exact",
 				telemetry.Arg{Key: "slot", Val: int64(i)},
 				telemetry.Arg{Key: "width", Val: int64(out.res.Width)})

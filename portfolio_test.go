@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,6 +167,63 @@ func TestCtxCancelledBeforeStart(t *testing.T) {
 		}
 		if verr := Ordering(res.Ordering).Validate(h.NumVertices()); verr != nil {
 			t.Errorf("%v: nil error but invalid ordering: %v", m, verr)
+		}
+	}
+}
+
+// TestPortfolioProofCancelsQueuedSlots pins prompt cancellation: the
+// worker that proves the optimum ends the race before it takes another
+// slot. With Jobs=2, BB (which closes clique_6 at its root) shares the pool
+// with one GA; the two GAs still queued when the proof lands must never
+// start, and the running GA returns its incumbent. BB is held at its start
+// until a GA has begun, so which slots run does not depend on the
+// scheduler.
+func TestPortfolioProofCancelsQueuedSlots(t *testing.T) {
+	h := gen.CliqueHypergraph(6)
+	gaStarted := make(chan struct{})
+	var once sync.Once
+	opt := oracleOpts(MethodPortfolio, 1)
+	opt.Portfolio = []Method{MethodBB, MethodGA, MethodGA, MethodGA}
+	opt.Jobs = 2
+	opt.GA.Generations = 100000 // a GA here ends only by cancellation
+	opt.Observer = &Observer{OnPhase: func(p Phase) {
+		if p.Name != "start" {
+			return
+		}
+		switch p.Method {
+		case MethodGA.String():
+			once.Do(func() { close(gaStarted) })
+		case MethodBB.String():
+			select {
+			case <-gaStarted:
+			case <-time.After(10 * time.Second):
+				t.Error("no GA started while BB waited")
+			}
+		}
+	}}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := GHWCtx(ctx, h, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exact || res.Winner != MethodBB.String() {
+		t.Fatalf("winner %q exact=%v, want an exact bb result", res.Winner, res.Exact)
+	}
+	ws := res.Workers
+	if len(ws) != 4 {
+		t.Fatalf("len(Workers) = %d, want 4", len(ws))
+	}
+	if ws[0].Err != "" || !ws[0].Exact {
+		t.Errorf("bb slot: err=%q exact=%v, want an exact result", ws[0].Err, ws[0].Exact)
+	}
+	if ws[1].Err != "" || ws[1].Width < res.Width {
+		t.Errorf("running ga: err=%q width=%d, want its incumbent (width ≥ %d)", ws[1].Err, ws[1].Width, res.Width)
+	}
+	for _, w := range ws[2:] {
+		if w.Err != context.Canceled.Error() || w.Elapsed != 0 {
+			t.Errorf("queued slot %d: err=%q elapsed=%v, want %q with zero elapsed",
+				w.Slot, w.Err, w.Elapsed, context.Canceled)
 		}
 	}
 }

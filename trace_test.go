@@ -174,11 +174,15 @@ func TestTraceSingleMethodEngines(t *testing.T) {
 }
 
 // TestTraceRingBoundedUnderLoad runs a trace whose ring is far smaller
-// than the event volume of an exact search: the ring must wrap (Dropped
-// grows), memory stays bounded, and the export still validates.
+// than the event volume of a portfolio run: the ring must wrap (Dropped
+// grows), memory stays bounded, and the export still validates. The
+// workers are heuristics that cannot claim Exact, so no proof cuts the
+// race short and each emits one event per generation or epoch.
 func TestTraceRingBoundedUnderLoad(t *testing.T) {
 	h := gen.Grid2DHypergraph(4, 4)
 	opt := oracleOpts(MethodPortfolio, 9)
+	opt.Portfolio = []Method{MethodGA, MethodSAIGA}
+	opt.GA.Generations = 100
 	opt.Trace = NewTrace(16) // absurdly small on purpose
 	if _, err := GHW(h, opt); err != nil {
 		t.Fatal(err)
